@@ -75,9 +75,12 @@ func New(cfg Config) (*Cache, error) {
 	if nSets == 0 || nSets&(nSets-1) != 0 {
 		return nil, fmt.Errorf("cache: %d sets (size %d, line %d, assoc %d) not a power of two", nSets, cfg.Size, cfg.LineSize, cfg.Assoc)
 	}
+	// All sets share one backing array: two allocations per cache instead
+	// of one per set.
 	c := &Cache{cfg: cfg, sets: make([][]line, nSets)}
+	lines := make([]line, nSets*cfg.Assoc)
 	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Assoc)
+		c.sets[i] = lines[i*cfg.Assoc : (i+1)*cfg.Assoc : (i+1)*cfg.Assoc]
 	}
 	for ls := cfg.LineSize; ls > 1; ls >>= 1 {
 		c.setShift++

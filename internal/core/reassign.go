@@ -73,11 +73,12 @@ func (p *Processor) applyReassign(r Reassignment, t int64) int64 {
 		}
 	}
 	p.cfg.Assignment = r.To
+	p.decodeAssignment()
 	// Committed state moved between register files; the rename tables hold
 	// no in-flight producers after the drain, so clearing them makes
 	// lookups under the new homes correctly see architectural values.
 	for c := 0; c < p.cfg.Clusters; c++ {
-		p.rename[c] = [isa.NumRegs + 1]*dynInst{}
+		p.rename[c] = [isa.NumRegs + 1]ref{}
 		p.freeRegs[c][0] = p.cfg.IntRegs - p.backedRegs(c, false)
 		p.freeRegs[c][1] = p.cfg.FPRegs - p.backedRegs(c, true)
 	}

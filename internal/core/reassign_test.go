@@ -39,9 +39,9 @@ func TestDynamicReassignmentSwitchesScheme(t *testing.T) {
 	}
 	// The switch serializes: everything before it retired before the
 	// phase-2 instructions were distributed.
-	if retired[3].master.distributedAt <= retired[2].doneCycle {
+	if retired[3].mu.distributedAt <= retired[2].doneCycle {
 		t.Errorf("switch did not drain: phase-2 distributed at %d, phase-1 done at %d",
-			retired[3].master.distributedAt, retired[2].doneCycle)
+			retired[3].mu.distributedAt, retired[2].doneCycle)
 	}
 }
 
