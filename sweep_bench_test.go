@@ -93,8 +93,7 @@ func BenchmarkSweepCellsLazy(b *testing.B) {
 
 // BenchmarkSweepCellsBatched is the artifact pipeline: the same cell
 // group through experiment.CachedRunBatch — one materialized trace walk
-// feeding every machine configuration, with slab recycling between
-// members. The fresh per-iteration seed keeps the memo cold, and the
+// feeding every machine configuration. The fresh per-iteration seed keeps the memo cold, and the
 // generation counter proves the trace was produced exactly once per
 // group.
 func BenchmarkSweepCellsBatched(b *testing.B) {
