@@ -8,8 +8,12 @@ build:
 test: vet
 	$(GO) test ./...
 
+# race is the race detector over the simulator core and every package
+# with state shared across goroutines: the sweep service and pool, the
+# artifact/run memo (experiment, conc), the metrics registry (obs), and
+# the cluster layer. verify and CI both run this one list.
 race:
-	$(GO) test -race ./internal/core/... ./internal/trace/... ./internal/sweep/... ./internal/faultinject/... ./internal/conc/... ./internal/experiment/... ./internal/cluster/...
+	$(GO) test -race ./internal/core/... ./internal/trace/... ./internal/sweep/... ./internal/faultinject/... ./internal/conc/... ./internal/experiment/... ./internal/obs/... ./internal/cluster/...
 
 # verify is the full pre-merge gate: tier-1, the race detector over the
 # simulator core and the concurrent subsystems, an explicit build/vet of
@@ -18,7 +22,7 @@ race:
 verify: build vet
 	$(GO) build ./internal/obs/... && $(GO) vet ./internal/obs/...
 	$(GO) test ./...
-	$(GO) test -race ./internal/core/... ./internal/trace/... ./internal/sweep/... ./internal/faultinject/... ./internal/obs/... ./internal/cluster/...
+	$(MAKE) race
 	$(GO) test -count=1 -run 'TestGoldenStats' ./internal/core
 	$(GO) test -count=1 ./scripts/benchdiff ./scripts/servediff ./scripts/sweepdiff
 	$(GO) test -count=1 -run 'TestMcbench' ./cmd/mcbench

@@ -424,7 +424,7 @@ func (r *Runner) sweepGrid(op plannedOp) sweep.Grid {
 // sweep is terminal, then read the results in two cursor-resumed chunks
 // — the second GET picks up exactly where the first stopped. The
 // arrival's argument draw also picks one of a few client ids so the
-// server's weighted-fair queues see real multi-tenant traffic.
+// server's fair queues see real multi-tenant traffic.
 func (r *Runner) sweepLifecycle(ctx context.Context, op plannedOp) (int, string, error) {
 	base := r.cfg.BaseURL
 	tenant := fmt.Sprintf("bench-%d", op.Arg%4)

@@ -43,7 +43,7 @@
 // incomplete sweeps on restart — already-committed cells replay from the
 // result journal without recomputation, and result streams re-read from
 // any cursor are byte-identical across the restart. The worker pool
-// schedules cells with per-tenant weighted-fair queueing keyed on
+// schedules cells with per-tenant fair queueing keyed on
 // X-Client-ID, so one tenant's 10k-cell grid cannot starve another's
 // interactive requests.
 //

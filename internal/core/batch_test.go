@@ -59,38 +59,6 @@ func TestRunBatchMatchesStandalone(t *testing.T) {
 	}
 }
 
-// TestRunBatchProbes checks that a probe set installed on the batch observes
-// every member without perturbing the statistics.
-func TestRunBatchProbes(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	_, entries := randomStream(rng, 2_000)
-	src := sliceSource{entries: entries}
-
-	cfgs := []Config{SingleCluster8Way(), DualCluster4Way()}
-	for i := range cfgs {
-		cfgs[i].MaxCycles = int64(len(entries)) * 200
-	}
-
-	var cycles int64
-	probes := &Probes{Cycle: func(CycleSample) { cycles++ }}
-	withProbes, err := RunBatchProbes(cfgs, src, probes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cycles == 0 {
-		t.Error("probes observed no cycle samples across the batch")
-	}
-	plain, err := RunBatch(cfgs, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cfgs {
-		if !reflect.DeepEqual(withProbes[i].Snapshot(), plain[i].Snapshot()) {
-			t.Errorf("member %d: probes perturbed the simulation", i)
-		}
-	}
-}
-
 // TestRunBatchMemberError checks that a failing member aborts the batch with
 // its index attributed.
 func TestRunBatchMemberError(t *testing.T) {

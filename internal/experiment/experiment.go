@@ -61,17 +61,24 @@ func DefaultOptions() Options {
 	}
 }
 
+// DefaultProfileBudget is the profiling-pass budget of a run of instrs
+// dynamic instructions when none is given: instrs/6, at least one. The
+// divide floors to zero for budgets under six, and zero means *unlimited*
+// to trace.Profile — a tiny simulation would profile the driver's entire
+// path. At the default 300k budget it is the historical fixed 50k.
+func DefaultProfileBudget(instrs int64) int64 {
+	if b := instrs / 6; b >= 1 {
+		return b
+	}
+	return 1
+}
+
 func (o Options) withDefaults() Options {
 	if o.Instructions == 0 {
 		o.Instructions = 300_000
 	}
 	if o.ProfileInstructions == 0 {
-		// The divide floors to zero for budgets under six instructions, and
-		// zero means *unlimited* to trace.Profile — a tiny simulation would
-		// profile the driver's entire path. Clamp to at least one.
-		if o.ProfileInstructions = o.Instructions / 6; o.ProfileInstructions < 1 {
-			o.ProfileInstructions = 1
-		}
+		o.ProfileInstructions = DefaultProfileBudget(o.Instructions)
 	}
 	if o.Single.Clusters == 0 {
 		o.Single = core.SingleCluster8Way()
@@ -232,19 +239,22 @@ func Table2Bench(b *workload.Benchmark, opts Options) (Table2Row, error) {
 }
 
 // table2Runs performs the three cached runs behind one Table 2 row. The
-// native binary's two machines run as one batch over the shared trace
-// artifact; the local binary (different machine program, different trace)
-// runs on its own.
+// native binary's two machines share one trace artifact; the local binary
+// (different machine program, different trace) has its own.
 func table2Runs(bench string, opts Options) (single, none, local core.Stats, err error) {
-	nat, err := CachedRunBatch(bench, "none", []core.Config{opts.Single, opts.Dual}, opts)
+	sr, err := CachedRun(bench, "none", opts.Single, opts)
 	if err != nil {
-		return single, none, local, fmt.Errorf("native binary: %w", err)
+		return single, none, local, fmt.Errorf("single-cluster: %w", err)
+	}
+	nr, err := CachedRun(bench, "none", opts.Dual, opts)
+	if err != nil {
+		return single, none, local, fmt.Errorf("dual/none: %w", err)
 	}
 	lr, err := CachedRun(bench, "local", opts.Dual, opts)
 	if err != nil {
 		return single, none, local, fmt.Errorf("dual/local: %w", err)
 	}
-	return nat[0].Stats, nat[1].Stats, lr.Stats, nil
+	return sr.Stats, nr.Stats, lr.Stats, nil
 }
 
 // NewTable2Row assembles a Table 2 row from the three runs behind it: the

@@ -81,15 +81,14 @@ func TestCompareAssignmentsSharesBaseline(t *testing.T) {
 	}
 	_, m1 := RunCacheStats()
 
-	// Even/odd row: native compile, native trace artifact, one batched
-	// simulation covering both native machines (the dual entry is seeded
-	// from the batch, not recomputed), local compile, local trace, local
-	// simulation = 6. Low/high row: the native compile and the
-	// single-cluster simulation are assignment-independent only in effect,
-	// not in key (the compile key includes the assignment), so it adds its
-	// own 6; but the repeated single-cluster baseline *within* each row
-	// costs nothing extra.
-	perRow := int64(6)
+	// Even/odd row: native compile, native trace artifact, one simulation
+	// per native machine (single and dual, both fed from that artifact),
+	// local compile, local trace, local simulation = 7. Low/high row: the
+	// native compile and the single-cluster simulation are
+	// assignment-independent only in effect, not in key (the compile key
+	// includes the assignment), so it adds its own 7; but the repeated
+	// single-cluster baseline *within* each row costs nothing extra.
+	perRow := int64(7)
 	if got := m1 - m0; got != 2*perRow {
 		t.Fatalf("CompareAssignments executed %d computations, want %d", got, 2*perRow)
 	}

@@ -115,9 +115,6 @@ func (s *Service) Sweep(ctx context.Context, g Grid) (<-chan SweepRow, int, erro
 	if err != nil {
 		return nil, 0, err
 	}
-	// Queue batch prewarms ahead of the cells (see prewarmBatches): cells
-	// whose group was batched become cache hits.
-	s.prewarmBatches(ClientIDFrom(ctx), specs)
 	rows := make(chan SweepRow)
 	var wg sync.WaitGroup
 	for i, spec := range specs {

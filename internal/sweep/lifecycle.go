@@ -303,7 +303,7 @@ func (r *sweepRegistry) registerLocked(id, client string, grid Grid, specs []Job
 // launch starts the sweep's cells. Cells run through the service's
 // normal compute path (cache, single-flight, retries, cluster routing)
 // on the worker pool, attributed to the sweep's owning client so the
-// pool's weighted-fair queueing keeps one tenant's grid from starving
+// pool's fair queueing keeps one tenant's grid from starving
 // everyone else. Per-sweep cell fan-out is bounded to keep goroutine
 // count proportional to the pool, not the grid.
 func (r *sweepRegistry) launch(h *SweepHandle) {
@@ -317,10 +317,6 @@ func (r *sweepRegistry) launch(h *SweepHandle) {
 
 	go func() {
 		defer cancel()
-		// Prewarm batchable cell groups before any cell is queued: within
-		// the sweep's tenant the pool is FIFO, so the batches run first and
-		// the cells they cover become cache hits.
-		r.svc.prewarmBatches(h.client, h.specs)
 		width := 2 * r.svc.pool.Workers()
 		if width > len(h.specs) {
 			width = len(h.specs)

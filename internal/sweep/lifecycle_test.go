@@ -13,6 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"multicluster/internal/experiment"
 )
 
 // eightCellGrid expands to 8 distinct cells (4 benchmarks × 2 schedulers
@@ -373,5 +375,158 @@ func TestSweepJournalCancelNotResumed(t *testing.T) {
 	defer sj2.Close()
 	if got := len(sj2.Recovered()); got != 0 {
 		t.Fatalf("canceled sweep survived recovery: %d recovered, want 0", got)
+	}
+}
+
+// TestSweepSharesOneTraceAcrossCells runs a real four-machine sweep and
+// asserts the generation-count property end to end: concurrent
+// cells over one (workload, seed, budget) share a single materialized
+// trace — generated exactly once — while every cell still succeeds. Run
+// with -race this also exercises concurrent artifact readers.
+func TestSweepSharesOneTraceAcrossCells(t *testing.T) {
+	svc := NewService(Config{Workers: 4})
+	defer svc.Close()
+
+	grid := Grid{
+		Benchmarks:   []string{"ora"},
+		Machines:     []string{"single", "dual", "single4", "dual2"},
+		Schedulers:   []string{"none"},
+		Seeds:        []int64{777001}, // private key space for this test
+		Instructions: 8_000,
+	}
+	before := experiment.TraceGenerations()
+	h, err := svc.CreateSweep(context.Background(), "batch-test", grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for h.State() == SweepRunning {
+		if time.Now().After(deadline) {
+			t.Fatal("sweep did not finish")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if h.State() != SweepDone {
+		t.Fatalf("sweep state = %s, want done", h.State())
+	}
+	for i := 0; i < h.Total(); i++ {
+		row, ok := h.Row(i)
+		if !ok {
+			t.Fatalf("row %d missing", i)
+		}
+		if row.Error != "" || row.Result == nil {
+			t.Fatalf("row %d failed: %+v", i, row)
+		}
+	}
+	if got := experiment.TraceGenerations() - before; got != 1 {
+		t.Errorf("sweep generated the trace %d times, want exactly once", got)
+	}
+}
+
+// TestSweepResultsCursorBeyondGrid is the regression test for the results
+// stream's cursor validation: a cursor past the grid size used to return
+// 200 with an empty body — indistinguishable from a completed read — and
+// now fails loudly. cursor == Total stays a valid empty tail.
+func TestSweepResultsCursorBeyondGrid(t *testing.T) {
+	stub := &stubExec{}
+	ts, svc := newTestServer(t, 2, stub)
+
+	h, err := svc.CreateSweep(context.Background(), "", Grid{
+		Benchmarks: []string{"ora"},
+		Machines:   []string{"dual"},
+		Schedulers: []string{"none", "local"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/sweeps/" + h.ID + "/results?cursor=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("cursor beyond grid = %d (%s), want 400", resp.StatusCode, body)
+	}
+	var envelope struct {
+		Error struct {
+			Code string `json:"code"`
+		} `json:"error"`
+	}
+	if err := json.Unmarshal(body, &envelope); err != nil || envelope.Error.Code != CodeInvalidRequest {
+		t.Fatalf("cursor beyond grid error envelope = %s, want code %q", body, CodeInvalidRequest)
+	}
+
+	// cursor == Total is a legitimate resume position: 200 with no rows.
+	resp, err = http.Get(ts.URL + "/v1/sweeps/" + h.ID + "/results?cursor=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cursor == total = %d, want 200", resp.StatusCode)
+	}
+	if len(body) != 0 {
+		t.Fatalf("cursor == total streamed %q, want empty", body)
+	}
+}
+
+// TestCanceledSweepSimulatesNothing is the regression test for cells
+// computed behind a sweep's back: a sweep canceled while its cells are
+// still queued must not simulate anything once the worker frees up —
+// every queued task checks the sweep's context before it computes.
+func TestCanceledSweepSimulatesNothing(t *testing.T) {
+	svc := NewService(Config{Workers: 1})
+	defer svc.Close()
+
+	// Hold the only worker so every cell of the sweep stays queued.
+	started := make(chan struct{})
+	gate := make(chan struct{})
+	svc.pool.Submit(func() error {
+		close(started)
+		<-gate
+		return nil
+	}, nil)
+	<-started
+
+	grid := Grid{
+		Benchmarks:   []string{"ora", "compress"},
+		Machines:     []string{"single", "dual"},
+		Schedulers:   []string{"none"},
+		Seeds:        []int64{777002}, // private key space for this test
+		Instructions: 8_000,
+	}
+	before := experiment.TraceGenerations()
+	h, err := svc.CreateSweep(context.Background(), "cancel-test", grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cancel only once cells are queued behind the held worker.
+	deadline := time.Now().Add(30 * time.Second)
+	for svc.pool.Stats().Queued < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("sweep cells never reached the pool")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, ok := svc.CancelSweep(h.ID); !ok {
+		t.Fatal("CancelSweep: sweep not found")
+	}
+	close(gate)
+
+	for {
+		st := svc.pool.Stats()
+		if st.Queued == 0 && st.Running == 0 && h.State() != SweepRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("pool never went idle: %+v, sweep %s", st, h.State())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := experiment.TraceGenerations() - before; got != 0 {
+		t.Errorf("canceled sweep materialized %d traces, want 0", got)
 	}
 }

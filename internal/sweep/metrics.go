@@ -203,7 +203,7 @@ func (m *Metrics) bindService(s *Service) {
 	pool := s.pool
 	reg.GaugeFunc("sweep_pool_workers", "Worker-pool size.",
 		func() float64 { return float64(pool.Workers()) })
-	reg.GaugeFunc("sweep_pool_tenants", "Tenants with queued work in the weighted-fair scheduler.",
+	reg.GaugeFunc("sweep_pool_tenants", "Tenants with queued work in the fair-queueing scheduler.",
 		func() float64 { return float64(pool.Stats().Tenants) })
 	reg.GaugeFunc("sweep_pool_queued", "Tasks waiting in the pool queue.",
 		func() float64 { return float64(pool.Stats().Queued) })

@@ -22,15 +22,15 @@ type PanicError struct {
 
 func (e *PanicError) Error() string { return fmt.Sprintf("sweep: job panicked: %v", e.Value) }
 
-// Pool is a bounded worker pool with per-tenant weighted-fair queueing.
-// Work is executed by a fixed set of worker goroutines; within one tenant
-// tasks run in submission order (FIFO), and across tenants the scheduler
-// is a stride/virtual-time WFQ: each tenant's queue carries a virtual
-// finish time advanced by 1/weight per dequeued task, and workers always
-// pick the backlogged tenant with the smallest virtual time. A tenant
-// with 10k queued tasks therefore cannot starve a tenant submitting one
-// task at a time — service interleaves proportionally to weight, not to
-// backlog size.
+// Pool is a bounded worker pool with per-tenant fair queueing. Work is
+// executed by a fixed set of worker goroutines; within one tenant tasks
+// run in submission order (FIFO), and across tenants the scheduler is a
+// virtual-time fair queue: each tenant's queue carries a virtual time
+// advanced by 1 per dequeued task, and workers always pick the
+// backlogged tenant with the smallest virtual time. A tenant with 10k
+// queued tasks therefore cannot starve a tenant submitting one task at a
+// time — backlogged tenants get equal shares, whatever their backlog
+// size.
 //
 // Submit (no tenant) enqueues under the empty tenant key, which preserves
 // the historical plain-FIFO behaviour when nobody else is queueing. A
@@ -41,7 +41,7 @@ type Pool struct {
 	cond   *sync.Cond
 	queues map[string]*tenantQueue
 	ready  tenantHeap // backlogged tenants, min-ordered by virtual time
-	vnow   float64    // virtual time of the last dequeue
+	vnow   int64      // virtual time of the last dequeue
 	closed bool
 	wg     sync.WaitGroup
 
@@ -53,13 +53,13 @@ type Pool struct {
 	panics    atomic.Int64 // tasks that panicked
 }
 
-// tenantQueue is one tenant's FIFO backlog plus its WFQ accounting.
+// tenantQueue is one tenant's FIFO backlog plus its fair-queueing
+// accounting.
 type tenantQueue struct {
-	key    string
-	tasks  []func() error
-	weight int
-	vtime  float64 // virtual start time of the task at the head
-	index  int     // position in the ready heap, -1 when idle
+	key   string
+	tasks []func() error
+	vtime int64 // virtual start time of the task at the head
+	index int   // position in the ready heap, -1 when idle
 }
 
 // tenantHeap orders backlogged tenants by virtual time (ties broken by
@@ -125,17 +125,13 @@ func (p *Pool) Workers() int { return p.workers }
 // goroutine; its error (or wrapped panic) is passed to done, which may be
 // nil. Submit never blocks on queue capacity.
 func (p *Pool) Submit(fn func() error, done func(error)) error {
-	return p.SubmitAs("", 1, fn, done)
+	return p.SubmitAs("", fn, done)
 }
 
-// SubmitAs appends fn to tenant's queue with the given scheduling weight
-// (< 1 means 1; a tenant's weight is updated by its latest submission).
-// Tasks of one tenant run FIFO; across tenants the pool shares workers
-// in proportion to weight regardless of backlog depth.
-func (p *Pool) SubmitAs(tenant string, weight int, fn func() error, done func(error)) error {
-	if weight < 1 {
-		weight = 1
-	}
+// SubmitAs appends fn to tenant's queue. Tasks of one tenant run FIFO;
+// across tenants the pool shares workers equally regardless of backlog
+// depth.
+func (p *Pool) SubmitAs(tenant string, fn func() error, done func(error)) error {
 	task := func() error {
 		err := p.runIsolated(fn)
 		if done != nil {
@@ -153,7 +149,6 @@ func (p *Pool) SubmitAs(tenant string, weight int, fn func() error, done func(er
 		q = &tenantQueue{key: tenant, index: -1}
 		p.queues[tenant] = q
 	}
-	q.weight = weight
 	q.tasks = append(q.tasks, task)
 	if q.index < 0 {
 		// A tenant re-entering the schedule starts at the current virtual
@@ -193,7 +188,7 @@ func (p *Pool) next() func() error {
 	q.tasks[0] = nil
 	q.tasks = q.tasks[1:]
 	p.vnow = q.vtime
-	q.vtime += 1 / float64(q.weight)
+	q.vtime++
 	if len(q.tasks) == 0 {
 		heap.Pop(&p.ready)
 		// Idle tenants are forgotten entirely so the map stays proportional

@@ -108,7 +108,7 @@ func gatedPool(t *testing.T) (p *Pool, release func()) {
 	t.Cleanup(p.Drain)
 	started := make(chan struct{})
 	gate := make(chan struct{})
-	p.SubmitAs("zz-gate", 1, func() error {
+	p.SubmitAs("zz-gate", func() error {
 		close(started)
 		<-gate
 		return nil
@@ -118,19 +118,18 @@ func gatedPool(t *testing.T) (p *Pool, release func()) {
 }
 
 // TestPoolWeightedFairness: with a single worker and the deterministic
-// key tie-break, a weight-2 tenant backlogged against a weight-1 tenant
-// must be served in an exact 2:1 virtual-time pattern, not in backlog
-// order.
+// key tie-break, two backlogged tenants must be served in equal shares —
+// strictly alternating while both have work — not in backlog order.
 func TestPoolWeightedFairness(t *testing.T) {
 	p, release := gatedPool(t)
 
 	var mu sync.Mutex
 	var order string
 	var wg sync.WaitGroup
-	enqueue := func(tenant string, weight, n int) {
+	enqueue := func(tenant string, n int) {
 		for i := 0; i < n; i++ {
 			wg.Add(1)
-			p.SubmitAs(tenant, weight, func() error {
+			p.SubmitAs(tenant, func() error {
 				mu.Lock()
 				order += tenant
 				mu.Unlock()
@@ -140,15 +139,15 @@ func TestPoolWeightedFairness(t *testing.T) {
 	}
 	// All of w's backlog lands before any of x's, so plain FIFO would run
 	// wwwwwwwwxxxx.
-	enqueue("w", 2, 8)
-	enqueue("x", 1, 4)
+	enqueue("w", 8)
+	enqueue("x", 4)
 	release()
 	wg.Wait()
 
-	// Both tenants enter at vtime 0; w advances by 1/2 per task, x by 1,
-	// ties go to the smaller key. That yields exactly (w x w) repeated.
-	if want := "wxwwxwwxwwxw"; order != want {
-		t.Fatalf("weighted schedule = %q, want %q", order, want)
+	// Both tenants enter at vtime 0 and advance by 1 per task, ties go to
+	// the smaller key: w and x alternate until x drains, then w finishes.
+	if want := "wxwxwxwxwwww"; order != want {
+		t.Fatalf("fair schedule = %q, want %q", order, want)
 	}
 }
 
@@ -164,7 +163,7 @@ func TestPoolNoStarvation(t *testing.T) {
 	var wg sync.WaitGroup
 	submit := func(tenant string) {
 		wg.Add(1)
-		p.SubmitAs(tenant, 1, func() error {
+		p.SubmitAs(tenant, func() error {
 			mu.Lock()
 			order = append(order, tenant)
 			mu.Unlock()

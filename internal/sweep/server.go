@@ -48,7 +48,7 @@ const maxBodyBytes = 1 << 20
 // stable machine-readable codes (see the Code* constants).
 //
 // Submissions may carry an X-Client-ID header; per-client in-flight caps
-// and the pool's weighted-fair scheduling key off that identity, falling
+// and the pool's fair-queueing scheduling key off that identity, falling
 // back to the remote host.
 type Server struct {
 	svc        *Service

@@ -276,13 +276,6 @@ type Service struct {
 	sweeps       *sweepRegistry
 	remote       Remote
 	nodeID       string
-	// realExec records that exec is the real simulation kernel (not a test
-	// override), which is what makes batch prewarming sound: prewarms go
-	// straight to experiment.CachedRunBatch and must hit the same memo
-	// entries the cells will. coreProbes is the probe set that kernel
-	// carries, shared with prewarmed batches.
-	realExec   bool
-	coreProbes *core.Probes
 
 	name         string
 	jobTimeout   time.Duration
@@ -323,13 +316,10 @@ const DefaultJobRetention = 1024
 // service accepts work.
 func NewService(cfg Config) *Service {
 	exec := cfg.exec
-	realExec := false
-	var probes *core.Probes
 	if exec == nil {
 		// The real kernel carries the metrics' core probes into every
 		// simulation it actually runs (memoized runs never re-simulate).
-		realExec = true
-		probes = cfg.Metrics.CoreProbes()
+		probes := cfg.Metrics.CoreProbes()
 		exec = func(spec JobSpec) (*Result, error) { return runSpec(spec, probes) }
 	}
 	if cfg.Name == "" {
@@ -348,8 +338,6 @@ func NewService(cfg Config) *Service {
 		sweepJournal: cfg.SweepJournal,
 		remote:       cfg.Remote,
 		nodeID:       cfg.NodeID,
-		realExec:     realExec,
-		coreProbes:   probes,
 		name:         cfg.Name,
 		jobTimeout:   cfg.JobTimeout,
 		retry:        cfg.Retry.normalized(),
@@ -780,12 +768,12 @@ func (s *Service) retryable(err error) bool {
 // executes if ctx is still live when a worker picks it up — cancellation
 // while queued skips the simulation entirely. The task is queued under
 // the requesting client's tenant key (from ctx), so the pool's
-// weighted-fair scheduler interleaves tenants no matter how deep any one
+// fair-queueing scheduler interleaves tenants no matter how deep any one
 // tenant's backlog runs.
 func (s *Service) runOnPool(ctx context.Context, spec JobSpec, hash, key string, onStart func()) (*Result, error) {
 	var res *Result
 	ch := make(chan error, 1)
-	submitErr := s.pool.SubmitAs(ClientIDFrom(ctx), 1, func() error {
+	submitErr := s.pool.SubmitAs(ClientIDFrom(ctx), func() error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}

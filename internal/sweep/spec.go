@@ -119,12 +119,7 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 		s.Instructions = 300_000
 	}
 	if s.ProfileInstructions <= 0 {
-		// The divide floors to zero for budgets under six, and zero means
-		// *unlimited* to the profiling pass — clamp so tiny canary specs
-		// profile one instruction, not the driver's whole path.
-		if s.ProfileInstructions = s.Instructions / 6; s.ProfileInstructions < 1 {
-			s.ProfileInstructions = 1
-		}
+		s.ProfileInstructions = experiment.DefaultProfileBudget(s.Instructions)
 	}
 	return s, nil
 }

@@ -106,3 +106,32 @@ func TestGridExpandDefaults(t *testing.T) {
 		}
 	}
 }
+
+// TestNormalizeClampsProfileBudget is the regression test for the
+// profile-budget derivation: Instructions/6 floors to zero for budgets
+// under six, and zero means *unlimited* to the profiling pass — before
+// the clamp a 3-instruction canary spec profiled the driver's whole path.
+func TestNormalizeClampsProfileBudget(t *testing.T) {
+	n, err := JobSpec{Benchmark: "ora", Instructions: 3}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.ProfileInstructions != 1 {
+		t.Errorf("Instructions=3: ProfileInstructions = %d, want 1", n.ProfileInstructions)
+	}
+	n, err = JobSpec{Benchmark: "ora", Instructions: 60_000}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.ProfileInstructions != 10_000 {
+		t.Errorf("Instructions=60000: ProfileInstructions = %d, want 10000", n.ProfileInstructions)
+	}
+	// A negative budget means the default, exactly like zero.
+	n, err = JobSpec{Benchmark: "ora", Instructions: 60_000, ProfileInstructions: -5}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.ProfileInstructions != 10_000 {
+		t.Errorf("ProfileInstructions=-5: ProfileInstructions = %d, want 10000", n.ProfileInstructions)
+	}
+}

@@ -1,16 +1,16 @@
-// Sweep-cell throughput benchmarks: the same four-machine grid cell
-// group measured through the two pipelines a sweep can take. Lazy is the
-// pre-batching path — every cell re-walks the workload driver through its
-// own trace generator. Batched is the artifact path — one materialized
-// trace shared by all members with cross-member storage recycling, via
-// experiment.CachedRunBatch. Both report cells/sec; scripts/sweepdiff
-// runs them, gates the batched/lazy speedup, and writes BENCH_sweep.json.
+// Sweep-cell throughput benchmarks: the same ten-machine grid cell group
+// measured through two pipelines. Lazy is the pre-artifact path — every
+// cell re-walks the workload driver through its own trace generator.
+// Batched is the path every sweep cell takes — experiment.CachedRun per
+// machine, all fed from one materialized trace artifact. Both report
+// cells/sec; scripts/sweepdiff runs them, gates the batched/lazy
+// speedup, and writes BENCH_sweep.json.
 //
 // Each iteration draws a fresh seed from a private counter so the
 // process-wide run memo can never serve a cached cell: the batched side
-// must do its real work (compile, materialize, batch-simulate) every
-// time, and the generation counter must advance exactly once per
-// iteration — the benchmark asserts that.
+// must do its real work (compile, materialize, simulate) every time, and
+// the generation counter must advance exactly once per iteration — the
+// benchmark asserts that.
 package multicluster
 
 import (
@@ -92,10 +92,10 @@ func BenchmarkSweepCellsLazy(b *testing.B) {
 }
 
 // BenchmarkSweepCellsBatched is the artifact pipeline: the same cell
-// group through experiment.CachedRunBatch — one materialized trace walk
-// feeding every machine configuration. The fresh per-iteration seed keeps the memo cold, and the
-// generation counter proves the trace was produced exactly once per
-// group.
+// group through experiment.CachedRun, one call per machine configuration,
+// all fed from one materialized trace walk. The fresh per-iteration seed
+// keeps the memo cold, and the generation counter proves the trace was
+// produced exactly once per group.
 func BenchmarkSweepCellsBatched(b *testing.B) {
 	cfgs := sweepBenchConfigs()
 	before := experiment.TraceGenerations()
@@ -104,8 +104,10 @@ func BenchmarkSweepCellsBatched(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opts := benchOpts()
 		opts.Seed = sweepBenchSeed.Add(1)
-		if _, err := experiment.CachedRunBatch("su2cor", "local", cfgs, opts); err != nil {
-			b.Fatal(err)
+		for _, cfg := range cfgs {
+			if _, err := experiment.CachedRun("su2cor", "local", cfg, opts); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 	b.StopTimer()
