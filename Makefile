@@ -15,13 +15,15 @@ test: vet
 race:
 	$(GO) test -race ./internal/core/... ./internal/trace/... ./internal/sweep/... ./internal/faultinject/... ./internal/conc/... ./internal/experiment/... ./internal/obs/... ./internal/cluster/...
 
-# verify is the full pre-merge gate: tier-1, the race detector over the
-# simulator core and the concurrent subsystems, an explicit build/vet of
-# the metrics layer, and the golden-stats suite (which pins that probes,
-# when disabled, leave every fixture byte-identical).
+# verify is the full pre-merge gate: tier-1, the perfbench module (its
+# own go.mod, so the root ./... never compiles it), the race detector
+# over the simulator core and the concurrent subsystems, an explicit
+# build/vet of the metrics layer, and the golden-stats suite (which pins
+# that probes, when disabled, leave every fixture byte-identical).
 verify: build vet
 	$(GO) build ./internal/obs/... && $(GO) vet ./internal/obs/...
 	$(GO) test ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test -short -count=1 ./...
 	$(MAKE) race
 	$(GO) test -count=1 -run 'TestGoldenStats' ./internal/core
 	$(GO) test -count=1 ./scripts/benchdiff ./scripts/servediff ./scripts/sweepdiff
@@ -45,7 +47,7 @@ bench:
 
 # bench-serve is the HTTP-path counterpart of bench: mcbench drives a
 # self-hosted mcserved with deterministic open-loop traffic (mixed
-# submits, polls, table2 calls, and NDJSON sweeps at a fixed seed),
+# submits, polls, table2 calls, and sweep lifecycles at a fixed seed),
 # writes client-observed RPS / p50/p90/p99 / shed rates per traffic mix
 # to BENCH_serve.json, and servediff fails on a >10% p99 or RPS
 # regression against the committed BENCH_serve_baseline.json. After a

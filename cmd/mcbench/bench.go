@@ -23,7 +23,6 @@ const (
 	opSubmit    opKind = iota // POST /v1/jobs
 	opPoll                    // GET /v1/jobs/{id} (or the job list)
 	opTable2                  // GET /v1/table2
-	opSweep                   // POST /v1/sweeps?mode=inline, NDJSON stream read to EOF
 	opLifecycle               // POST /v1/sweeps (202) + progress polls + cursor-resumed results read
 	numOpKinds
 )
@@ -36,8 +35,6 @@ func (k opKind) String() string {
 		return "poll"
 	case opTable2:
 		return "table2"
-	case opSweep:
-		return "sweep"
 	case opLifecycle:
 		return "lifecycle"
 	}
@@ -48,12 +45,10 @@ func (k opKind) String() string {
 type Mix [numOpKinds]int
 
 // DefaultMix leans on the cheap interactive calls the way real clients
-// do, with a trickle of heavyweight streams. The lifecycle class defaults
-// to 0 so baseline plans (and BENCH_serve.json gates pinned to them) are
-// unchanged; enable it with e.g. -mix submit=6,poll=6,table2=2,lifecycle=2.
-func DefaultMix() Mix { return Mix{opSubmit: 6, opPoll: 6, opTable2: 2, opSweep: 1} }
+// do, with a trickle of heavyweight sweeps.
+func DefaultMix() Mix { return Mix{opSubmit: 6, opPoll: 6, opTable2: 2, opLifecycle: 1} }
 
-// ParseMix parses "submit=6,poll=6,table2=2,sweep=1"; omitted classes get
+// ParseMix parses "submit=6,poll=6,table2=2,lifecycle=1"; omitted classes get
 // weight 0, an empty string means DefaultMix.
 func ParseMix(s string) (Mix, error) {
 	if s == "" {
@@ -289,17 +284,10 @@ func (r *Runner) warmup(ctx context.Context) {
 		Seeds:        seeds,
 		Instructions: r.cfg.Instructions,
 	}
-	// Inline mode blocks until every cell has streamed back, so the cache
-	// is fully primed when this returns.
-	if body, err := json.Marshal(grid); err == nil {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.cfg.BaseURL+"/v1/sweeps?mode=inline", bytes.NewReader(body))
-		if err == nil {
-			req.Header.Set("Content-Type", "application/json")
-			if resp, err := r.client.Do(req); err == nil {
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-			}
-		}
+	// The results stream waits for every cell, so reading it to EOF
+	// returns only once the cache is fully primed.
+	if status, view, err := r.createSweep(ctx, grid, ""); err == nil && status == http.StatusAccepted {
+		r.get(ctx, r.cfg.BaseURL+"/v1/sweeps/"+view.ID+"/results")
 	}
 	if _, _, err := r.get(ctx, fmt.Sprintf("%s/v1/table2?format=json&n=%d", r.cfg.BaseURL, r.cfg.Instructions)); err != nil {
 		return
@@ -308,7 +296,7 @@ func (r *Runner) warmup(ctx context.Context) {
 
 // do executes one arrival and classifies its outcome. Latency is
 // first-byte-to-last-byte inclusive: the clock stops only after the full
-// body (for sweeps, the whole NDJSON stream) has been read.
+// body (for sweeps, every progress poll and results page) has been read.
 func (r *Runner) do(ctx context.Context, op plannedOp) {
 	st := r.stats[op.Kind]
 	window := 0
@@ -379,26 +367,6 @@ func (r *Runner) send(ctx context.Context, op plannedOp) (status int, jobID stri
 	case opTable2:
 		return r.get(ctx, fmt.Sprintf("%s/v1/table2?format=json&n=%d", base, r.cfg.Instructions))
 
-	case opSweep:
-		body, merr := json.Marshal(r.sweepGrid(op))
-		if merr != nil {
-			return 0, "", merr
-		}
-		req, rerr := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/sweeps?mode=inline", bytes.NewReader(body))
-		if rerr != nil {
-			return 0, "", rerr
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, derr := r.client.Do(req)
-		if derr != nil {
-			return 0, "", derr
-		}
-		defer resp.Body.Close()
-		if _, cerr := io.Copy(io.Discard, resp.Body); cerr != nil {
-			return 0, "", cerr
-		}
-		return resp.StatusCode, "", nil
-
 	case opLifecycle:
 		return r.sweepLifecycle(ctx, op)
 	}
@@ -406,8 +374,7 @@ func (r *Runner) send(ctx context.Context, op plannedOp) (status int, jobID stri
 }
 
 // sweepGrid is the small two-cell grid an op's argument draw maps to:
-// one benchmark, both machine models, one seed. Identical for opSweep
-// and opLifecycle so the two paths compute the same work.
+// one benchmark, both machine models, one seed.
 func (r *Runner) sweepGrid(op plannedOp) sweep.Grid {
 	spec := r.specs[int(op.Arg%int64(len(r.specs)))]
 	return sweep.Grid{
@@ -428,29 +395,12 @@ func (r *Runner) sweepGrid(op plannedOp) sweep.Grid {
 func (r *Runner) sweepLifecycle(ctx context.Context, op plannedOp) (int, string, error) {
 	base := r.cfg.BaseURL
 	tenant := fmt.Sprintf("bench-%d", op.Arg%4)
-	body, err := json.Marshal(r.sweepGrid(op))
+	status, view, err := r.createSweep(ctx, r.sweepGrid(op), tenant)
 	if err != nil {
 		return 0, "", err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/sweeps", bytes.NewReader(body))
-	if err != nil {
-		return 0, "", err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Client-ID", tenant)
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return 0, "", err
-	}
-	var view sweep.SweepView
-	decodeErr := json.NewDecoder(resp.Body).Decode(&view)
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		return resp.StatusCode, "", nil
-	}
-	if decodeErr != nil {
-		return 0, "", decodeErr
+	if status != http.StatusAccepted {
+		return status, "", nil
 	}
 
 	// Poll progress until the server reports a terminal state.
@@ -481,6 +431,34 @@ func (r *Runner) sweepLifecycle(ctx context.Context, op plannedOp) (int, string,
 		}
 	}
 	return http.StatusOK, "", nil
+}
+
+// createSweep POSTs grid as a sweep resource, under the tenant's client
+// id when one is given, and decodes the 202's view.
+func (r *Runner) createSweep(ctx context.Context, grid sweep.Grid, tenant string) (int, sweep.SweepView, error) {
+	var view sweep.SweepView
+	body, err := json.Marshal(grid)
+	if err != nil {
+		return 0, view, err
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.cfg.BaseURL+"/v1/sweeps", bytes.NewReader(body))
+	if err != nil {
+		return 0, view, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	if tenant != "" {
+		req.Header.Set("X-Client-ID", tenant)
+	}
+	resp, err := r.client.Do(req)
+	if err != nil {
+		return 0, view, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusAccepted {
+		err = json.NewDecoder(resp.Body).Decode(&view)
+	}
+	io.Copy(io.Discard, resp.Body)
+	return resp.StatusCode, view, err
 }
 
 // getJSON fetches url and decodes the body into out.

@@ -127,6 +127,32 @@ func TestMcbenchSmoke(t *testing.T) {
 	}
 }
 
+// TestParseMix pins the -mix grammar: empty means DefaultMix, and only
+// the listed classes are accepted.
+func TestParseMix(t *testing.T) {
+	for _, tc := range []struct {
+		in      string
+		want    Mix
+		wantErr string
+	}{
+		{in: "", want: DefaultMix()},
+		{in: "lifecycle=1", want: Mix{opLifecycle: 1}},
+		{in: "submit=6,poll=6,table2=2,lifecycle=1", want: DefaultMix()},
+		{in: "sweep=1", wantErr: "unknown mix kind"},
+	} {
+		got, err := ParseMix(tc.in)
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("ParseMix(%q) error = %v, want %q", tc.in, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("ParseMix(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+}
+
 // TestMcbenchLifecycleSoak is the sweep-lifecycle smoke `make
 // soak-lifecycle` runs: a mix that includes the first-class sweep
 // resource op (create → poll → cursor-resumed results, under rotating
@@ -135,7 +161,7 @@ func TestMcbenchSmoke(t *testing.T) {
 func TestMcbenchLifecycleSoak(t *testing.T) {
 	ts := newBenchTarget(t)
 	cfg := smokeConfig(ts.URL)
-	cfg.Mix = Mix{opSubmit: 4, opPoll: 4, opTable2: 1, opSweep: 1, opLifecycle: 3}
+	cfg.Mix = Mix{opSubmit: 4, opPoll: 4, opTable2: 1, opLifecycle: 3}
 	cfg.Warmup = true
 
 	rep := newRunner(cfg).Run(context.Background())

@@ -1,7 +1,7 @@
 // Command mcbench is the service load harness: a deterministic open-loop
 // generator that drives a running mcserved (one node or a cluster) with a
 // configurable mix of job submits, status polls, /v1/table2 calls, and
-// NDJSON sweep streams, then writes the observed throughput, latency
+// sweep lifecycles, then writes the observed throughput, latency
 // percentiles, and shed/error rates to BENCH_serve.json for the
 // scripts/servediff regression gate.
 //
@@ -60,7 +60,7 @@ func main() {
 		duration    = flag.Duration("duration", 5*time.Second, "planned run length")
 		concurrency = flag.Int("concurrency", 64, "max in-flight requests; excess arrivals are dropped client-side")
 		seed        = flag.Int64("seed", 1, "RNG seed for the arrival plan (same seed, same request sequence)")
-		mixFlag     = flag.String("mix", "", "traffic mix weights, e.g. submit=6,poll=6,table2=2,sweep=1")
+		mixFlag     = flag.String("mix", "", "traffic mix weights, e.g. submit=6,poll=6,table2=2,lifecycle=1")
 		instr       = flag.Int64("instr", 20000, "per-simulation instruction budget in generated specs")
 		specSeeds   = flag.Int("spec-seeds", 4, "distinct simulation seeds in the spec pool (controls cache-hit balance)")
 		timeout     = flag.Duration("timeout", 60*time.Second, "per-request client timeout")

@@ -16,7 +16,6 @@
 //	GET    /v1/jobs/{id}           poll job status and result
 //	DELETE /v1/jobs/{id}           cancel a job (queued jobs never run)
 //	POST   /v1/sweeps              create a sweep resource from a grid (JSON), returns 202 + sweep id
-//	                               (?mode=inline streams rows on the connection — deprecated)
 //	GET    /v1/sweeps              list sweeps
 //	GET    /v1/sweeps/{id}         sweep progress: cells done/total, per-outcome counts
 //	GET    /v1/sweeps/{id}/results stream results as NDJSON in grid order; ?cursor=N resumes,
@@ -25,7 +24,6 @@
 //	GET    /v1/table2              the paper's Table 2, served from cache (?format=json|csv|text&n=&seed=&window=&width=)
 //	GET    /v1/stats               cache/pool/job/sweep/journal counters
 //	GET    /metrics                Prometheus text exposition (core, job, sweep, pool, cache, journal)
-//	GET    /debug/vars             expvar (the "sweep" variable mirrors /v1/stats)
 //	GET    /debug/pprof/           net/http/pprof profiler (only with -pprof)
 //	GET    /healthz                liveness probe
 //	GET    /readyz                 readiness probe: 503 while overloaded, draining,

@@ -22,7 +22,6 @@ import (
 	"multicluster/internal/core"
 	"multicluster/internal/experiment"
 	"multicluster/internal/isa"
-	"multicluster/internal/partition"
 	"multicluster/internal/trace"
 	"multicluster/internal/workload"
 )
@@ -50,7 +49,7 @@ func main() {
 	opts.Window = *window
 	opts.Instructions = *n
 	opts.ProfileInstructions = 0 // scale the profiling pass with -n
-	part, err := scheduler(*sched, *window)
+	part, err := experiment.SchedulerByName(*sched, *window)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -104,7 +103,7 @@ func main() {
 			*info, total, pct(mem, total), pct(ctrl, total), pct(taken, ctrl))
 
 	case *replay != "":
-		cfg, err := machineConfig(*machine)
+		cfg, err := experiment.MachineByName(*machine)
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -137,36 +136,6 @@ func openTrace(path string, mp *isa.Program) *trace.FileReader {
 		fatalf("%v (did the -bench/-sched/-seed flags match the recording?)", err)
 	}
 	return fr
-}
-
-func machineConfig(name string) (core.Config, error) {
-	switch name {
-	case "single":
-		return core.SingleCluster8Way(), nil
-	case "dual":
-		return core.DualCluster4Way(), nil
-	case "single4":
-		return core.SingleCluster4Way(), nil
-	case "dual2":
-		return core.DualCluster2Way(), nil
-	}
-	return core.Config{}, fmt.Errorf("unknown machine %q", name)
-}
-
-func scheduler(name string, window int) (partition.Partitioner, error) {
-	switch name {
-	case "none":
-		return nil, nil
-	case "local":
-		return partition.Local{Window: window}, nil
-	case "hash":
-		return partition.Hash{}, nil
-	case "roundrobin":
-		return partition.RoundRobin{}, nil
-	case "affinity":
-		return partition.Affinity{}, nil
-	}
-	return nil, fmt.Errorf("unknown scheduler %q", name)
 }
 
 func pct(a, b int64) float64 {

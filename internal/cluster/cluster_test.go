@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -141,6 +142,46 @@ func httpGet(t *testing.T, url string) (int, []byte) {
 	return resp.StatusCode, body
 }
 
+// runSweep creates grid as a sweep resource on n over HTTP and reads its
+// results stream to EOF, calling fn with each row in grid order. It
+// returns the grid size the server reported.
+func runSweep(t *testing.T, n *testNode, grid sweep.Grid, fn func(sweep.SweepResultRow)) int {
+	t.Helper()
+	body, err := json.Marshal(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(n.url()+"/v1/sweeps", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /v1/sweeps: %v", err)
+	}
+	var created sweep.SweepView
+	err = json.NewDecoder(resp.Body).Decode(&created)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /v1/sweeps: status %d, decode error %v", resp.StatusCode, err)
+	}
+	resp, err = http.Get(n.url() + "/v1/sweeps/" + created.ID + "/results")
+	if err != nil {
+		t.Fatalf("GET sweep results: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET sweep results: status %d", resp.StatusCode)
+	}
+	dec := json.NewDecoder(resp.Body)
+	for {
+		var row sweep.SweepResultRow
+		if err := dec.Decode(&row); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatalf("decoding sweep row: %v", err)
+		}
+		fn(row)
+	}
+	return created.Total
+}
+
 // TestTwoNodeTable2Identical is the tentpole acceptance: a two-node
 // cluster serves /v1/table2 byte-identically to a single-node daemon,
 // with part of the grid genuinely computed on the peer.
@@ -186,12 +227,6 @@ func TestTwoNodeTable2Identical(t *testing.T) {
 // drain to it — cluster_hints_pending returns to 0 and every cell the
 // dead node owned lands in its cache.
 func TestClusterKillRejoinZeroLoss(t *testing.T) {
-	dirA, dirB := t.TempDir(), t.TempDir()
-	a := startNode(t, "a", "", dirA, nil, nodeOpts{})
-	b := startNode(t, "b", "", dirB, []Member{a.member()}, nodeOpts{})
-	a.node.members.addMember(b.member())
-	addrB := b.addr
-
 	grid := sweep.Grid{
 		Machines:     []string{"single"},
 		Schedulers:   []string{"none"},
@@ -202,20 +237,43 @@ func TestClusterKillRejoinZeroLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	first := mustHash(t, specs[0])
+
+	// b holds every forwarded cell but cell 0 until it is killed, so the
+	// first row arrives and the kill then orphans b-owned cells
+	// mid-flight, however fast the rest of the grid computes.
+	killed := make(chan struct{})
+	hold := func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/cluster/v1/run" {
+				body, _ := io.ReadAll(r.Body)
+				r.Body = io.NopCloser(bytes.NewReader(body))
+				var spec sweep.JobSpec
+				if json.Unmarshal(body, &spec) == nil {
+					if hash, _ := spec.Hash(); hash != first {
+						select {
+						case <-killed:
+						case <-r.Context().Done():
+						}
+						return
+					}
+				}
+			}
+			next.ServeHTTP(w, r)
+		})
+	}
+	dirA, dirB := t.TempDir(), t.TempDir()
+	a := startNode(t, "a", "", dirA, nil, nodeOpts{})
+	b := startNode(t, "b", "", dirB, []Member{a.member()}, nodeOpts{wrap: hold})
+	a.node.members.addMember(b.member())
+	addrB := b.addr
 
 	ctx := context.Background()
-	rows, total, err := a.svc.Sweep(ctx, grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != len(specs) {
-		t.Fatalf("grid expands to %d, sweep says %d", len(specs), total)
-	}
 
 	// Kill b after the first row: the rest of the sweep must shed its
 	// b-owned cells to local compute and the hint log.
 	got := 0
-	for row := range rows {
+	total := runSweep(t, a, grid, func(row sweep.SweepResultRow) {
 		if row.Error != "" {
 			t.Fatalf("row %d failed: %s", row.Index, row.Error)
 		}
@@ -225,15 +283,18 @@ func TestClusterKillRejoinZeroLoss(t *testing.T) {
 		got++
 		if got == 1 {
 			b.kill()
+			close(killed)
 		}
+	})
+	if total != len(specs) {
+		t.Fatalf("grid expands to %d, sweep says %d", len(specs), total)
 	}
 	if got != total {
 		t.Fatalf("sweep delivered %d of %d rows after mid-sweep kill", got, total)
 	}
 
-	// Everything a does not own should now be spooled for b (cells b
-	// finished before dying were forwarded, not hinted — both are fine;
-	// at least some of 18 cells must have been orphaned mid-flight).
+	// Everything a does not own should now be spooled for b: the cells
+	// held in flight when b died and every later one.
 	pending := a.node.hints.PendingFor("b")
 	if pending == 0 {
 		t.Fatal("expected a hint backlog for the killed node")
@@ -483,17 +544,13 @@ func TestClusterSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	rows, total, err := a.svc.Sweep(ctx, grid)
-	if err != nil {
-		t.Fatal(err)
-	}
 	seen := 0
-	for row := range rows {
+	total := runSweep(t, a, grid, func(row sweep.SweepResultRow) {
 		if row.Error != "" {
 			t.Fatalf("row %d: %s", row.Index, row.Error)
 		}
 		seen++
-	}
+	})
 	if seen != total || total != len(specs) {
 		t.Fatalf("sweep under chaos: %d rows of %d (%d specs)", seen, total, len(specs))
 	}

@@ -362,7 +362,7 @@ func (r *router) proxyJob(w http.ResponseWriter, req *http.Request, node, base s
 		return
 	}
 	defer resp.Body.Close()
-	for _, h := range []string{"Content-Type", "Retry-After", "Location", "Deprecation", "X-Sweep-Cursor"} {
+	for _, h := range []string{"Content-Type", "Retry-After", "Location", "X-Sweep-Cursor"} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}

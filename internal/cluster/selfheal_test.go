@@ -91,15 +91,10 @@ func TestDecommissionMidSweepZeroLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, total, err := a.svc.Sweep(ctx, grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	// Decommission b after the first row, while the sweep is mid-flight.
 	var rep DecommissionReport
 	got := 0
-	for row := range rows {
+	total := runSweep(t, a, grid, func(row sweep.SweepResultRow) {
 		if row.Error != "" {
 			t.Fatalf("row %d failed: %s", row.Index, row.Error)
 		}
@@ -117,7 +112,7 @@ func TestDecommissionMidSweepZeroLoss(t *testing.T) {
 				t.Fatalf("leave: status %d, report %+v", resp.StatusCode, rep)
 			}
 		}
-	}
+	})
 	if got != total {
 		t.Fatalf("sweep delivered %d of %d rows across a decommission", got, total)
 	}
@@ -265,15 +260,11 @@ func TestJoinPullsOwnedRangesNoRecompute(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	rows, _, err := a.svc.Sweep(ctx, grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for row := range rows {
+	runSweep(t, a, grid, func(row sweep.SweepResultRow) {
 		if row.Error != "" {
 			t.Fatalf("row %d: %s", row.Index, row.Error)
 		}
-	}
+	})
 
 	// c joins; its first Sync introduces it to a and pulls its ranges.
 	c := startNode(t, "c", "", t.TempDir(), []Member{a.member()}, nodeOpts{})
@@ -302,15 +293,11 @@ func TestJoinPullsOwnedRangesNoRecompute(t *testing.T) {
 
 	// Re-running the sweep anywhere computes nothing new.
 	before := a.svc.Stats().Cache.Misses + c.svc.Stats().Cache.Misses
-	rows, _, err = c.svc.Sweep(ctx, grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for row := range rows {
+	runSweep(t, c, grid, func(row sweep.SweepResultRow) {
 		if row.Error != "" {
 			t.Fatalf("post-join row %d: %s", row.Index, row.Error)
 		}
-	}
+	})
 	after := a.svc.Stats().Cache.Misses + c.svc.Stats().Cache.Misses
 	if after != before {
 		t.Errorf("post-join sweep recomputed %d cells; the cluster already held every result", after-before)

@@ -47,13 +47,16 @@ type Options struct {
 	Probes *core.Probes
 }
 
+// DefaultInstructions is the evaluation's dynamic-instruction budget:
+// large enough for the caches and predictors to reach steady state while
+// keeping a full Table 2 run under a minute.
+const DefaultInstructions = 300_000
+
 // DefaultOptions returns the evaluation setup used throughout: the paper's
-// eight-way configurations and a 300k-instruction budget, large enough for
-// the caches and predictors to reach steady state while keeping a full
-// Table 2 run under a minute.
+// eight-way configurations and the DefaultInstructions budget.
 func DefaultOptions() Options {
 	return Options{
-		Instructions:        300_000,
+		Instructions:        DefaultInstructions,
 		ProfileInstructions: 50_000,
 		Seed:                42,
 		Single:              core.SingleCluster8Way(),
@@ -75,7 +78,7 @@ func DefaultProfileBudget(instrs int64) int64 {
 
 func (o Options) withDefaults() Options {
 	if o.Instructions == 0 {
-		o.Instructions = 300_000
+		o.Instructions = DefaultInstructions
 	}
 	if o.ProfileInstructions == 0 {
 		o.ProfileInstructions = DefaultProfileBudget(o.Instructions)

@@ -3,7 +3,6 @@ package sweep
 import (
 	"context"
 	"errors"
-	"expvar"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -24,15 +23,6 @@ func newHTTPServer(t *testing.T, svc *Service) *httptest.Server {
 		svc.Close()
 	})
 	return ts
-}
-
-// expvarGet renders a published expvar variable, or "" if absent.
-func expvarGet(name string) string {
-	v := expvar.Get(name)
-	if v == nil {
-		return ""
-	}
-	return v.String()
 }
 
 // flakyExec fails deterministically for the first failures calls per spec
@@ -323,24 +313,6 @@ func TestServerBodyTooLarge(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Fatalf("POST %s with huge body = %d, want 413", path, resp.StatusCode)
-		}
-	}
-}
-
-func TestExpvarPerService(t *testing.T) {
-	svcA := NewService(Config{Workers: 1, exec: (&stubExec{}).exec})
-	defer svcA.Close()
-	svcB := NewService(Config{Workers: 1, exec: (&stubExec{}).exec})
-	defer svcB.Close()
-	a := NewServer(svcA)
-	b := NewServer(svcB)
-	if a.ExpvarName() == b.ExpvarName() {
-		t.Fatalf("two servers share expvar name %q; metrics would be dropped", a.ExpvarName())
-	}
-	// Both names resolve to live, distinct counter closures.
-	for _, name := range []string{a.ExpvarName(), b.ExpvarName()} {
-		if v := expvarGet(name); v == "" {
-			t.Fatalf("expvar %q not published", name)
 		}
 	}
 }

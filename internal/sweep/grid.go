@@ -1,9 +1,7 @@
 package sweep
 
 import (
-	"context"
 	"fmt"
-	"sync"
 
 	"multicluster/internal/workload"
 )
@@ -91,50 +89,4 @@ func (g Grid) Expand() ([]JobSpec, error) {
 		}
 	}
 	return specs, nil
-}
-
-// SweepRow is one completed cell of a sweep, delivered in completion
-// order.
-type SweepRow struct {
-	// Index is the cell's position in the expanded grid (stable across
-	// identical requests); Total is the grid size.
-	Index int `json:"index"`
-	Total int `json:"total"`
-	// CacheHit reports whether the cell was served from the cache.
-	CacheHit bool    `json:"cache_hit"`
-	Result   *Result `json:"result,omitempty"`
-	Error    string  `json:"error,omitempty"`
-}
-
-// Sweep expands the grid and runs every cell through the pool and cache,
-// streaming completed rows on the returned channel in completion order.
-// The channel closes when every cell has been delivered or ctx is done.
-// The int is the number of cells in the expanded grid.
-func (s *Service) Sweep(ctx context.Context, g Grid) (<-chan SweepRow, int, error) {
-	specs, err := g.Expand()
-	if err != nil {
-		return nil, 0, err
-	}
-	rows := make(chan SweepRow)
-	var wg sync.WaitGroup
-	for i, spec := range specs {
-		wg.Add(1)
-		go func(i int, spec JobSpec) {
-			defer wg.Done()
-			res, hit, err := s.Run(ctx, spec)
-			row := SweepRow{Index: i, Total: len(specs), CacheHit: hit, Result: res}
-			if err != nil {
-				row.Error = err.Error()
-			}
-			select {
-			case rows <- row:
-			case <-ctx.Done():
-			}
-		}(i, spec)
-	}
-	go func() {
-		wg.Wait()
-		close(rows)
-	}()
-	return rows, len(specs), nil
 }

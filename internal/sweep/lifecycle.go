@@ -34,10 +34,10 @@ const sweepProgressEvery = 32
 var ErrSweepNotFound = errors.New("sweep: unknown sweep")
 
 // SweepResultRow is one cell of a sweep's result stream, delivered in
-// grid order (row N is cell N of the expanded grid). Unlike the legacy
-// inline SweepRow it carries no cache_hit flag: the stream is defined by
-// the grid, not by which server instance happened to compute which cell,
-// so a resumed or re-read stream is byte-identical to the original.
+// grid order (row N is cell N of the expanded grid). It carries no
+// cache_hit flag: the stream is defined by the grid, not by which server
+// instance happened to compute which cell, so a resumed or re-read stream
+// is byte-identical to the original.
 type SweepResultRow struct {
 	Index  int     `json:"index"`
 	Total  int     `json:"total"`

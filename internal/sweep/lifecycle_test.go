@@ -130,6 +130,9 @@ func TestSweepLifecycle(t *testing.T) {
 			t.Fatalf("row %d failed: %+v", i, row)
 		}
 	}
+	if got := stub.calls.Load(); got != 8 {
+		t.Fatalf("sweep executed %d simulations, want 8", got)
+	}
 
 	// The listing includes it.
 	lresp, err := http.Get(ts.URL + "/v1/sweeps")

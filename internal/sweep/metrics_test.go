@@ -229,7 +229,7 @@ type nonFlusher struct {
 	http.ResponseWriter
 }
 
-// TestSweepNDJSONNonFlusher: the NDJSON stream must degrade gracefully —
+// TestSweepNDJSONNonFlusher: the results stream must degrade gracefully —
 // complete rows, no panic — when the ResponseWriter cannot flush.
 func TestSweepNDJSONNonFlusher(t *testing.T) {
 	stub := &stubExec{}
@@ -237,16 +237,21 @@ func TestSweepNDJSONNonFlusher(t *testing.T) {
 	srv := NewServer(svc)
 
 	body := strings.NewReader(`{"benchmarks":["compress","ora"],"machines":["dual"],"schedulers":["none"]}`)
-	req := httptest.NewRequest("POST", "/v1/sweeps?mode=inline", body)
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(nonFlusher{rec}, req)
+	crec := httptest.NewRecorder()
+	srv.ServeHTTP(crec, httptest.NewRequest("POST", "/v1/sweeps", body))
+	if crec.Code != http.StatusAccepted {
+		t.Fatalf("POST /v1/sweeps: status %d, want 202: %s", crec.Code, crec.Body)
+	}
+	created := decodeJSON[SweepView](t, crec.Body)
 
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(nonFlusher{rec}, httptest.NewRequest("GET", "/v1/sweeps/"+created.ID+"/results", nil))
 	if rec.Code != http.StatusOK {
-		t.Fatalf("sweep via non-flusher: status %d, want 200: %s", rec.Code, rec.Body)
+		t.Fatalf("results via non-flusher: status %d, want 200: %s", rec.Code, rec.Body)
 	}
 	lines := strings.Split(strings.TrimSpace(rec.Body.String()), "\n")
 	if len(lines) != 2 {
-		t.Fatalf("sweep via non-flusher: %d NDJSON rows, want 2:\n%s", len(lines), rec.Body)
+		t.Fatalf("results via non-flusher: %d NDJSON rows, want 2:\n%s", len(lines), rec.Body)
 	}
 }
 

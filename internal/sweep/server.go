@@ -4,13 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
 	"strconv"
-	"strings"
-	"sync"
 
 	"multicluster/internal/experiment"
 )
@@ -38,11 +35,6 @@ const maxBodyBytes = 1 << 20
 //	GET  /metrics               Prometheus text      -> 200 (when Config.Metrics is set)
 //	GET  /healthz               liveness             -> 200 ok
 //	GET  /readyz                readiness            -> 200 ok | 503 overloaded/draining
-//	GET  /debug/vars            expvar               -> 200 JSON
-//
-// The legacy connection-scoped sweep stream survives as
-// POST /v1/sweeps?mode=inline (or Accept: application/x-ndjson), marked
-// with a Deprecation header.
 //
 // Errors are a structured envelope {"error":{"code","message"}} with
 // stable machine-readable codes (see the Code* constants).
@@ -51,14 +43,11 @@ const maxBodyBytes = 1 << 20
 // and the pool's fair-queueing scheduling key off that identity, falling
 // back to the remote host.
 type Server struct {
-	svc        *Service
-	mux        *http.ServeMux
-	expvarName string
+	svc *Service
+	mux *http.ServeMux
 }
 
-// NewServer builds the HTTP front end of a service and publishes the
-// service counters under the service's name in expvar, uniquified per
-// process (see publishExpvar).
+// NewServer builds the HTTP front end of a service.
 func NewServer(svc *Service) *Server {
 	s := &Server{svc: svc, mux: http.NewServeMux()}
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -77,43 +66,14 @@ func NewServer(svc *Service) *Server {
 		fmt.Fprintln(w, "ok")
 	})
 	s.mux.HandleFunc("GET /readyz", s.handleReady)
-	s.mux.Handle("GET /debug/vars", expvar.Handler())
 	if m := svc.metrics; m != nil {
 		s.mux.Handle("GET /metrics", m.Handler())
 	}
-	s.expvarName = publishExpvar(svc)
 	return s
 }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// ExpvarName returns the expvar variable this server's service counters
-// were published under.
-func (s *Server) ExpvarName() string { return s.expvarName }
-
-var (
-	expvarMu        sync.Mutex
-	expvarPublished = make(map[string]int)
-)
-
-// publishExpvar registers the service counters with the expvar registry
-// under the service's name. expvar panics on duplicate names and never
-// unregisters, while tests and multi-instance processes construct many
-// servers, so names are uniquified with a per-name sequence number: the
-// first "sweep" publishes as "sweep", the next as "sweep#2", and so on.
-// Every service gets live metrics instead of only the first one.
-func publishExpvar(svc *Service) string {
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	name := svc.Name()
-	expvarPublished[name]++
-	if n := expvarPublished[name]; n > 1 {
-		name = fmt.Sprintf("%s#%d", name, n)
-	}
-	expvar.Publish(name, expvar.Func(func() any { return svc.Stats() }))
-	return name
-}
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
@@ -286,14 +246,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 
 // handleCreateSweep creates a first-class sweep resource: 202 with the
 // sweep's id (also in Location) for the caller to poll and stream from.
-// The legacy connection-scoped behaviour remains reachable with
-// ?mode=inline or Accept: application/x-ndjson, marked deprecated.
 func (s *Server) handleCreateSweep(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("mode") == "inline" ||
-		strings.Contains(r.Header.Get("Accept"), "application/x-ndjson") {
-		s.handleSweepInline(w, r)
-		return
-	}
 	var grid Grid
 	if !decodeBody(w, r, &grid) {
 		return
@@ -307,35 +260,6 @@ func (s *Server) handleCreateSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, CodeDraining, err)
 	default:
 		writeError(w, http.StatusBadRequest, CodeInvalidSpec, err)
-	}
-}
-
-// handleSweepInline is the deprecated v1.0 sweep: rows stream on the
-// request connection in completion order, and the sweep has no identity
-// beyond the socket — drop it and the work is gone.
-func (s *Server) handleSweepInline(w http.ResponseWriter, r *http.Request) {
-	var grid Grid
-	if !decodeBody(w, r, &grid) {
-		return
-	}
-	rows, _, err := s.svc.Sweep(reqCtx(r), grid)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidSpec, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", "</v1/sweeps>; rel=\"successor-version\"")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	for row := range rows {
-		if err := enc.Encode(row); err != nil {
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
 	}
 }
 

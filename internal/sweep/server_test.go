@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -237,58 +236,6 @@ func TestServerCancelJob(t *testing.T) {
 	}
 }
 
-func TestServerSweepStreamsNDJSON(t *testing.T) {
-	stub := &stubExec{}
-	ts, _ := newTestServer(t, 2, stub)
-
-	resp := postJSON(t, ts.URL+"/v1/sweeps?mode=inline", Grid{
-		Benchmarks: []string{"ora", "compress"},
-		Machines:   []string{"dual"},
-		Schedulers: []string{"none", "local"},
-	})
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /v1/sweeps?mode=inline = %d, want 200", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("sweep content type = %q", ct)
-	}
-	if dep := resp.Header.Get("Deprecation"); dep != "true" {
-		t.Fatalf("inline sweep Deprecation header = %q, want \"true\"", dep)
-	}
-	var rows []SweepRow
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		var row SweepRow
-		if err := json.Unmarshal(sc.Bytes(), &row); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
-		}
-		rows = append(rows, row)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("sweep streamed %d rows, want 4", len(rows))
-	}
-	seen := make(map[int]bool)
-	for _, row := range rows {
-		if row.Error != "" || row.Result == nil {
-			t.Fatalf("sweep row failed: %+v", row)
-		}
-		if row.Total != 4 {
-			t.Fatalf("row total = %d, want 4", row.Total)
-		}
-		seen[row.Index] = true
-	}
-	if len(seen) != 4 {
-		t.Fatalf("sweep delivered duplicate indices: %v", seen)
-	}
-	if got := stub.calls.Load(); got != 4 {
-		t.Fatalf("sweep executed %d simulations, want 4", got)
-	}
-}
-
 // TestServerTable2 drives the real execution kernel end to end: the HTTP
 // response must agree with the in-process experiment path.
 func TestServerTable2(t *testing.T) {
@@ -340,26 +287,6 @@ func TestServerTable2(t *testing.T) {
 	}
 	if after.Hits != before.Hits+int64(3*len(benches)) {
 		t.Fatalf("repeated table2 hits %d -> %d, want +%d", before.Hits, after.Hits, 3*len(benches))
-	}
-}
-
-func TestServerExpvar(t *testing.T) {
-	ts, _ := newTestServer(t, 1, &stubExec{})
-	resp, err := http.Get(ts.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /debug/vars = %d", resp.StatusCode)
-	}
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal(body, &vars); err != nil {
-		t.Fatalf("expvar output is not JSON: %v", err)
-	}
-	if _, ok := vars["sweep"]; !ok {
-		t.Fatalf("expvar is missing the sweep counters: %s", body)
 	}
 }
 

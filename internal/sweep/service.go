@@ -215,8 +215,6 @@ type Remote interface {
 type Config struct {
 	// Workers bounds the worker pool; < 1 means GOMAXPROCS.
 	Workers int
-	// Name namespaces the service's expvar metrics; empty means "sweep".
-	Name string
 	// JobTimeout is the default per-job deadline, overridable per job via
 	// JobSpec.TimeoutMS; 0 means no deadline.
 	JobTimeout time.Duration
@@ -277,7 +275,6 @@ type Service struct {
 	remote       Remote
 	nodeID       string
 
-	name         string
 	jobTimeout   time.Duration
 	retry        RetryPolicy
 	maxLive      int
@@ -322,9 +319,6 @@ func NewService(cfg Config) *Service {
 		probes := cfg.Metrics.CoreProbes()
 		exec = func(spec JobSpec) (*Result, error) { return runSpec(spec, probes) }
 	}
-	if cfg.Name == "" {
-		cfg.Name = "sweep"
-	}
 	retention := cfg.JobRetention
 	if retention == 0 {
 		retention = DefaultJobRetention
@@ -338,7 +332,6 @@ func NewService(cfg Config) *Service {
 		sweepJournal: cfg.SweepJournal,
 		remote:       cfg.Remote,
 		nodeID:       cfg.NodeID,
-		name:         cfg.Name,
 		jobTimeout:   cfg.JobTimeout,
 		retry:        cfg.Retry.normalized(),
 		maxLive:      cfg.MaxLive,
@@ -366,9 +359,6 @@ func NewService(cfg Config) *Service {
 	s.sweeps.recover()
 	return s
 }
-
-// Name returns the service's metrics namespace.
-func (s *Service) Name() string { return s.name }
 
 // runSpec is the real execution kernel: compile and simulate through the
 // process-wide experiment cache, with the service's core probes (if any)

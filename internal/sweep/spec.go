@@ -116,7 +116,7 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 		s.Seed = 42
 	}
 	if s.Instructions <= 0 {
-		s.Instructions = 300_000
+		s.Instructions = experiment.DefaultInstructions
 	}
 	if s.ProfileInstructions <= 0 {
 		s.ProfileInstructions = experiment.DefaultProfileBudget(s.Instructions)
