@@ -275,9 +275,6 @@ func (p *Processor) distribute(item fetchItem, pl distPlan, t int64) *dynInst {
 	}
 
 	p.stats.Fetched++
-	if p.probes != nil && p.probes.Distribute != nil {
-		p.probes.Distribute(pl.dual)
-	}
 	return d
 }
 

@@ -16,16 +16,13 @@ func (p *Processor) fetch(t int64) bool {
 	if t < p.fetchStallUntil {
 		if p.fetchStallIsReplay {
 			p.stats.Fetch.Replay++
-			p.probeStall(StallReplay)
 		} else {
 			p.stats.Fetch.ICacheMiss++
-			p.probeStall(StallICacheMiss)
 		}
 		return false
 	}
 	if p.fetchBlockedByBranch(t) {
 		p.stats.Fetch.Mispredict++
-		p.probeStall(StallMispredict)
 		return false
 	}
 
@@ -65,7 +62,6 @@ func (p *Processor) fetch(t int64) bool {
 				p.fetchStallIsReplay = false
 				if fetched == 0 {
 					p.stats.Fetch.ICacheMiss++
-					p.probeStall(StallICacheMiss)
 				}
 				break
 			}
@@ -78,10 +74,8 @@ func (p *Processor) fetch(t int64) bool {
 			if fetched == 0 {
 				if queueFull {
 					p.stats.Fetch.QueueFull++
-					p.probeStall(StallQueueFull)
 				} else if regsFull {
 					p.stats.Fetch.RegsFull++
-					p.probeStall(StallRegsFull)
 				}
 			}
 			break
@@ -208,9 +202,6 @@ func (p *Processor) replay(t int64) error {
 	p.fetchStallUntil = t + int64(p.cfg.ReplayPenalty)
 	p.fetchStallIsReplay = true
 	p.stats.Replays++
-	if p.probes != nil && p.probes.Replay != nil {
-		p.probes.Replay(victims)
-	}
 	return nil
 }
 

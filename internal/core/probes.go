@@ -1,15 +1,17 @@
 package core
 
 // This file is the core's observability seam: an optional, nil-checked
-// probe hook that surfaces per-cycle occupancy and per-event stall/replay
-// accounting without touching the Stats the golden fixtures pin. With no
-// probes installed the only cost is a handful of nil checks — the
+// probe hook that surfaces per-cycle occupancy without touching the Stats
+// the golden fixtures pin. Occupancy is all it reports, because
+// Stats.Fetch, Replays/ReplayedInstructions and SingleDist/DualDist
+// already count stall, replay and distribution events exactly. With no
+// probes installed the only cost is one nil check per cycle — the
 // simulated machine state, the statistics, and the cycle-by-cycle
 // behaviour are bit-for-bit identical, which `make bench` and the golden
 // suite enforce.
 
 // StallCause classifies a cycle in which fetch could make no progress,
-// mirroring the FetchStalls counters (§4's stall taxonomy: the front end
+// naming the FetchStalls counters (§4's stall taxonomy: the front end
 // is blocked by the memory system, the branch unit, or a full
 // queue/register structure, or is paying a replay restart penalty).
 type StallCause uint8
@@ -61,35 +63,20 @@ type CycleSample struct {
 	Active     int
 }
 
-// Probes is the optional observability hook set. Every field may be nil;
-// a nil field (or a nil *Probes) costs one pointer check at its call
-// site. Probes observe — they must not mutate machine state, and they run
-// synchronously on the simulation goroutine.
+// Probes is the optional observability hook set. Cycle may be nil; a nil
+// Cycle (or a nil *Probes) costs one pointer check per cycle. Probes
+// observe — they must not mutate machine state, and they run
+// synchronously on the simulation goroutine, so a probe that writes
+// state shared with other goroutines pays for it every cycle.
 type Probes struct {
 	// Cycle is called once at the end of every simulated cycle.
 	Cycle func(CycleSample)
-	// FetchStall is called once per cycle in which fetch is stalled, with
-	// the cause — the same cycles the Stats.Fetch counters accumulate.
-	FetchStall func(StallCause)
-	// Replay is called on every instruction-replay exception with the
-	// number of squashed instructions.
-	Replay func(squashed int)
-	// Distribute is called for every logical instruction entering the
-	// machine, with whether it was dual-distributed.
-	Distribute func(dual bool)
 }
 
 // SetProbes installs (or, with nil, removes) the probe hooks. Call before
 // Run; probes are not part of Config so they never perturb the
 // content-addressed run keys of the experiment cache.
 func (p *Processor) SetProbes(pr *Probes) { p.probes = pr }
-
-// probeStall reports one stalled fetch cycle to the probes.
-func (p *Processor) probeStall(cause StallCause) {
-	if p.probes != nil && p.probes.FetchStall != nil {
-		p.probes.FetchStall(cause)
-	}
-}
 
 // probeCycle reports the end-of-cycle occupancy sample.
 func (p *Processor) probeCycle(t int64) {

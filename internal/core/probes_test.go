@@ -16,12 +16,8 @@ import (
 
 // probeTally accumulates everything the probes report for one run.
 type probeTally struct {
-	cycles       int64
-	queueSum     [2]int64
-	stalls       [core.NumStallCauses]int64
-	replays      int64
-	squashed     int64
-	single, dual int64
+	cycles   int64
+	queueSum [2]int64
 }
 
 func (pt *probeTally) probes() *core.Probes {
@@ -30,18 +26,6 @@ func (pt *probeTally) probes() *core.Probes {
 			pt.cycles++
 			pt.queueSum[0] += int64(s.Queue[0])
 			pt.queueSum[1] += int64(s.Queue[1])
-		},
-		FetchStall: func(c core.StallCause) { pt.stalls[c]++ },
-		Replay: func(n int) {
-			pt.replays++
-			pt.squashed += int64(n)
-		},
-		Distribute: func(dual bool) {
-			if dual {
-				pt.dual++
-			} else {
-				pt.single++
-			}
 		},
 	}
 }
@@ -80,29 +64,6 @@ func TestProbesMatchStats(t *testing.T) {
 			t.Errorf("cluster %d: probed queue occupancy sum %d != stats %d",
 				c, pt.queueSum[c], stats.Cluster[c].QueueOccupancySum)
 		}
-	}
-	wantStalls := [core.NumStallCauses]int64{
-		core.StallICacheMiss: stats.Fetch.ICacheMiss,
-		core.StallMispredict: stats.Fetch.Mispredict,
-		core.StallQueueFull:  stats.Fetch.QueueFull,
-		core.StallRegsFull:   stats.Fetch.RegsFull,
-		core.StallReplay:     stats.Fetch.Replay,
-	}
-	if pt.stalls != wantStalls {
-		t.Errorf("probed stalls %v != stats stalls %v", pt.stalls, wantStalls)
-	}
-	if pt.replays != stats.Replays || pt.squashed != stats.ReplayedInstructions {
-		t.Errorf("probed replays %d/%d squashed != stats %d/%d",
-			pt.replays, pt.squashed, stats.Replays, stats.ReplayedInstructions)
-	}
-	// Distribute fires per distribution (including refetches after a
-	// replay); single+dual distributions in stats count the same events.
-	if pt.single != stats.SingleDist || pt.dual != stats.DualDist {
-		t.Errorf("probed dist single=%d dual=%d != stats single=%d dual=%d",
-			pt.single, pt.dual, stats.SingleDist, stats.DualDist)
-	}
-	if stats.Replays == 0 {
-		t.Log("note: this run had no replays; the replay probe path was not exercised")
 	}
 }
 

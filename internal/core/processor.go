@@ -108,8 +108,8 @@ type Processor struct {
 	observe func(handle, *dynInst)
 
 	// probes, when set via SetProbes, receives per-cycle occupancy samples
-	// and stall/replay/distribution events (see probes.go). Nil-checked at
-	// every site so the disabled cost is a pointer compare.
+	// (see probes.go). Nil-checked once per cycle so the disabled cost is a
+	// pointer compare.
 	probes *Probes
 }
 

@@ -135,3 +135,55 @@ func TestConcurrentObservations(t *testing.T) {
 		t.Fatalf("histogram count = %d, want 8000", h.Count())
 	}
 }
+
+// TestObserveNMatchesRepeatedObserve: one ObserveN(v, n) must leave the
+// buckets, the count and the sum bits exactly where n Observe(v) calls
+// leave them — the guarantee a goroutine-local tally relies on when it
+// merges into a shared histogram.
+func TestObserveNMatchesRepeatedObserve(t *testing.T) {
+	bounds := []float64{0, 1, 2, 4, 8}
+	cases := []struct {
+		name string
+		v    float64
+		n    int64
+	}{
+		{"on a bound", 2, 7},
+		{"between bounds", 3, 5},
+		{"zero", 0, 11},
+		{"past the last bound", 9, 3},
+		{"far past the last bound", 1e6, 1000},
+		{"fraction", 0.5, 6},
+		{"n zero", 4, 0},
+		{"n negative", 4, -3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRegistry()
+			merged := r.Histogram("merged", "", bounds)
+			repeated := r.Histogram("repeated", "", bounds)
+			// Both start from the same non-empty state.
+			for _, h := range []*Histogram{merged, repeated} {
+				h.Observe(1)
+				h.Observe(16)
+			}
+			merged.ObserveN(tc.v, tc.n)
+			for i := int64(0); i < tc.n; i++ {
+				repeated.Observe(tc.v)
+			}
+			for i := range merged.counts {
+				if a, b := merged.counts[i].Load(), repeated.counts[i].Load(); a != b {
+					t.Errorf("bucket %d: ObserveN %d, repeated Observe %d", i, a, b)
+				}
+			}
+			if a, b := merged.Count(), repeated.Count(); a != b {
+				t.Errorf("count: ObserveN %d, repeated Observe %d", a, b)
+			}
+			if a, b := merged.sumBits.Load(), repeated.sumBits.Load(); a != b {
+				t.Errorf("sum bits: ObserveN %v, repeated Observe %v", merged.Sum(), repeated.Sum())
+			}
+			if tc.n <= 0 && merged.Count() != 2 {
+				t.Errorf("ObserveN(%v, %d) recorded samples: count %d, want 2", tc.v, tc.n, merged.Count())
+			}
+		})
+	}
+}

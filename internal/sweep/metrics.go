@@ -10,8 +10,9 @@ import (
 
 // Metrics is the sweep service's observability surface: job-latency
 // breakdown histograms, admission/eviction counters, cache/pool/journal
-// samplers, and the simulator-core probe adapters, all registered in one
-// obs.Registry that the server exposes at GET /metrics.
+// samplers, and the simulator-core instruments fed by per-run probe
+// tallies, all registered in one obs.Registry that the server exposes at
+// GET /metrics.
 //
 // Construct with NewMetrics and hand to one Service via Config.Metrics —
 // the scrape-time samplers bind to that service's pool, cache, and
@@ -32,7 +33,7 @@ type Metrics struct {
 	// HTTP-side classification.
 	clientCanceled *obs.Counter
 
-	// Core probe instruments (fed by the *core.Probes adapter).
+	// Core instruments, merged into once per simulated run (see runProbes).
 	coreCycles    *obs.Counter
 	coreReplays   *obs.Counter
 	coreSquashed  *obs.Counter
@@ -121,38 +122,86 @@ func (m *Metrics) Handler() http.Handler {
 	})
 }
 
-// CoreProbes returns the probe hooks that feed the core_* instruments.
-// The probes are shared by every simulation the service runs; the
-// instruments are atomic, so concurrent runs interleave safely.
-func (m *Metrics) CoreProbes() *core.Probes {
-	if m == nil {
-		return nil
+// coreTally is one simulation's probe tally: plain counters owned by the
+// goroutine that runs it, so the per-cycle probe touches no shared cache
+// line. Occupancy is tallied by exact value — a queue holds at most
+// QueueSize entries and a transfer buffer at most its depth — so bucketing
+// waits until the merge.
+type coreTally struct {
+	cycles int64
+	queue  [2][]int64 // queue[c][v]: cycles cluster c's dispatch queue held v entries
+	opBuf  [2][]int64
+	resBuf [2][]int64
+}
+
+func (t *coreTally) cycle(s core.CycleSample) {
+	t.cycles++
+	for c := 0; c < 2; c++ {
+		t.queue[c] = bump(t.queue[c], s.Queue[c])
+		t.opBuf[c] = bump(t.opBuf[c], s.OperandBuf[c])
+		t.resBuf[c] = bump(t.resBuf[c], s.ResultBuf[c])
 	}
-	return &core.Probes{
-		Cycle: func(s core.CycleSample) {
-			m.coreCycles.Inc()
-			for c := 0; c < 2; c++ {
-				m.coreQueueOcc[c].Observe(float64(s.Queue[c]))
-				m.coreOpBufOcc[c].Observe(float64(s.OperandBuf[c]))
-				m.coreResBufOcc[c].Observe(float64(s.ResultBuf[c]))
-			}
-		},
-		FetchStall: func(c core.StallCause) {
-			if c < core.NumStallCauses {
-				m.coreStalls[c].Inc()
-			}
-		},
-		Replay: func(squashed int) {
-			m.coreReplays.Inc()
-			m.coreSquashed.Add(int64(squashed))
-		},
-		Distribute: func(dual bool) {
-			if dual {
-				m.coreDist[1].Inc()
-			} else {
-				m.coreDist[0].Inc()
-			}
-		},
+}
+
+// bump counts one occurrence of value v in h, growing h to cover v.
+func bump(h []int64, v int) []int64 {
+	if v >= len(h) {
+		h = append(h, make([]int64, v+1-len(h))...)
+	}
+	h[v]++
+	return h
+}
+
+// runProbes returns the core probes for one simulation and the flush that
+// merges their tally into the shared core_* instruments. Call the flush
+// once, when the run has ended, with its result (nil if it failed).
+func (m *Metrics) runProbes() (*core.Probes, func(*Result)) {
+	if m == nil {
+		return nil, func(*Result) {}
+	}
+	t := new(coreTally)
+	return &core.Probes{Cycle: t.cycle}, func(res *Result) { m.flushCore(t, res) }
+}
+
+// flushCore merges one run's tally: one Counter.Add per counter and one
+// Histogram.ObserveN per distinct occupancy value. A run whose tally saw
+// no cycle was served from the run memo and adds nothing. The stall,
+// replay and distribution counters come from the run's Stats, which count
+// exactly those events; a run that failed has no Stats and adds only what
+// its probe saw.
+func (m *Metrics) flushCore(t *coreTally, res *Result) {
+	if t.cycles == 0 {
+		return
+	}
+	m.coreCycles.Add(t.cycles)
+	for c := 0; c < 2; c++ {
+		observeTally(m.coreQueueOcc[c], t.queue[c])
+		observeTally(m.coreOpBufOcc[c], t.opBuf[c])
+		observeTally(m.coreResBufOcc[c], t.resBuf[c])
+	}
+	if res == nil {
+		return
+	}
+	st := res.Stats.Stats
+	for c, n := range [core.NumStallCauses]int64{
+		core.StallICacheMiss: st.Fetch.ICacheMiss,
+		core.StallMispredict: st.Fetch.Mispredict,
+		core.StallQueueFull:  st.Fetch.QueueFull,
+		core.StallRegsFull:   st.Fetch.RegsFull,
+		core.StallReplay:     st.Fetch.Replay,
+	} {
+		m.coreStalls[c].Add(n)
+	}
+	m.coreReplays.Add(st.Replays)
+	m.coreSquashed.Add(st.ReplayedInstructions)
+	m.coreDist[0].Add(st.SingleDist)
+	m.coreDist[1].Add(st.DualDist)
+}
+
+// observeTally merges an exact-value tally into h.
+func observeTally(h *obs.Histogram, tally []int64) {
+	for v, n := range tally {
+		h.ObserveN(float64(v), n)
 	}
 }
 

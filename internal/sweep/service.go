@@ -314,10 +314,15 @@ const DefaultJobRetention = 1024
 func NewService(cfg Config) *Service {
 	exec := cfg.exec
 	if exec == nil {
-		// The real kernel carries the metrics' core probes into every
-		// simulation it actually runs (memoized runs never re-simulate).
-		probes := cfg.Metrics.CoreProbes()
-		exec = func(spec JobSpec) (*Result, error) { return runSpec(spec, probes) }
+		// The real kernel gives every call its own core probes; memoized
+		// runs never re-simulate, so their tally stays empty. The flush is
+		// deferred so a failed or panicking run still counts what it
+		// simulated.
+		exec = func(spec JobSpec) (res *Result, err error) {
+			probes, flush := cfg.Metrics.runProbes()
+			defer func() { flush(res) }()
+			return runSpec(spec, probes)
+		}
 	}
 	retention := cfg.JobRetention
 	if retention == 0 {
@@ -361,8 +366,8 @@ func NewService(cfg Config) *Service {
 }
 
 // runSpec is the real execution kernel: compile and simulate through the
-// process-wide experiment cache, with the service's core probes (if any)
-// installed on runs that actually simulate.
+// process-wide experiment cache, with probes (if any) installed on runs
+// that actually simulate.
 func runSpec(spec JobSpec, probes *core.Probes) (*Result, error) {
 	cfg, opts, err := spec.Resolve()
 	if err != nil {
