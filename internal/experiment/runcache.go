@@ -69,9 +69,10 @@ type RunResult struct {
 	Demoted int
 }
 
-// runMemo memoizes compiled binaries and simulation results across every
-// campaign in the process. Entries are immutable once computed: machine
-// programs are read-only during simulation and Stats are value types.
+// runMemo memoizes compiled binaries, trace artifacts and run results
+// across every campaign in the process. Entries are immutable once
+// computed: machine programs are read-only during simulation and run
+// results are value types.
 var runMemo conc.Memo
 
 // hashKey canonicalizes any JSON-encodable key structure into a hex
@@ -161,12 +162,15 @@ func cachedCompile(benchName, schedName string, ck compileKey, opts Options) (co
 // content-addressed cache. Identical (benchmark, scheduler, machine,
 // options) requests — concurrent or sequential — share one computation;
 // results are byte-identical to the uncached Compile/Simulate path because
-// the underlying simulation is deterministic in (spec, seed).
+// the underlying simulation is deterministic in (spec, seed). The run
+// entry is consulted first and holds the whole RunResult, so a repeated
+// run needs no compile entry.
 //
 // When the budget permits, the simulation feeds from a materialized trace
 // artifact cached next to the compile (see cachedArtifact), so every
 // machine configuration of the same binary shares one trace-generation
-// walk.
+// walk, and the run's entries leave the memo with that artifact (see
+// touchArtifact).
 func CachedRun(benchName, schedName string, cfg core.Config, opts Options) (RunResult, error) {
 	opts = opts.withDefaults()
 	if cfg.MaxCycles == 0 {
@@ -179,42 +183,39 @@ func CachedRun(benchName, schedName string, cfg core.Config, opts Options) (RunR
 		return RunResult{}, err
 	}
 	ck := buildCompileKey(benchName, schedName, opts)
-	bin, err := cachedCompile(benchName, schedName, ck, opts)
-	if err != nil {
-		return RunResult{}, err
-	}
-
-	rv, err, _ := runMemo.Do(hashKey(runKey{Kind: "run", Compile: ck, Machine: cfg, Instrs: opts.Instructions}), func() (any, error) {
-		return simulateCell(benchName, ck, bin, cfg, opts)
+	rk := hashKey(runKey{Kind: "run", Compile: ck, Machine: cfg, Instrs: opts.Instructions})
+	rv, err, _ := runMemo.Do(rk, func() (any, error) {
+		bin, err := cachedCompile(benchName, schedName, ck, opts)
+		if err != nil {
+			return nil, err
+		}
+		stats, err := simulateCell(benchName, ck, bin, cfg, opts)
+		if err != nil {
+			return nil, err
+		}
+		return RunResult{Stats: stats, Spilled: bin.alloc.Spilled, Demoted: bin.alloc.Demoted}, nil
 	})
+	if opts.Instructions <= artifactMaxInstrs {
+		touchArtifact(ck, opts.Instructions, rk)
+	}
 	if err != nil {
 		return RunResult{}, err
 	}
-	return RunResult{
-		Stats:   rv.(core.Stats),
-		Spilled: bin.alloc.Spilled,
-		Demoted: bin.alloc.Demoted,
-	}, nil
+	return rv.(RunResult), nil
 }
 
-// simulateCell computes one run-memo entry: artifact-fed when the budget
-// permits materialization, generator-fed otherwise. The two paths are
+// simulateCell simulates one run: artifact-fed when the budget permits
+// materialization, generator-fed otherwise. The two paths are
 // byte-identical.
-func simulateCell(benchName string, ck compileKey, bin compiledBinary, cfg core.Config, opts Options) (any, error) {
+func simulateCell(benchName string, ck compileKey, bin compiledBinary, cfg core.Config, opts Options) (core.Stats, error) {
 	art, err := cachedArtifact(benchName, ck, bin.mp, opts)
 	if err != nil {
-		return nil, err
+		return core.Stats{}, err
 	}
-	var stats core.Stats
 	if art != nil {
-		stats, err = SimulateReader(art.NewReader(), benchName, cfg, opts)
-	} else {
-		stats, err = Simulate(bin.mp, workload.ByName(benchName), cfg, opts)
+		return SimulateReader(art.NewReader(), benchName, cfg, opts)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return stats, nil
+	return Simulate(bin.mp, workload.ByName(benchName), cfg, opts)
 }
 
 // RunCacheStats reports the process-wide run-memo counters: how many

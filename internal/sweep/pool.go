@@ -53,11 +53,17 @@ type Pool struct {
 	panics    atomic.Int64 // tasks that panicked
 }
 
+// poolTask is one queued unit of work and its completion callback.
+type poolTask struct {
+	fn   func() error
+	done func(error) // may be nil
+}
+
 // tenantQueue is one tenant's FIFO backlog plus its fair-queueing
 // accounting.
 type tenantQueue struct {
 	key   string
-	tasks []func() error
+	tasks []poolTask
 	vtime int64 // virtual start time of the task at the head
 	index int   // position in the ready heap, -1 when idle
 }
@@ -132,13 +138,6 @@ func (p *Pool) Submit(fn func() error, done func(error)) error {
 // across tenants the pool shares workers equally regardless of backlog
 // depth.
 func (p *Pool) SubmitAs(tenant string, fn func() error, done func(error)) error {
-	task := func() error {
-		err := p.runIsolated(fn)
-		if done != nil {
-			done(err)
-		}
-		return err
-	}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -149,7 +148,7 @@ func (p *Pool) SubmitAs(tenant string, fn func() error, done func(error)) error 
 		q = &tenantQueue{key: tenant, index: -1}
 		p.queues[tenant] = q
 	}
-	q.tasks = append(q.tasks, task)
+	q.tasks = append(q.tasks, poolTask{fn: fn, done: done})
 	if q.index < 0 {
 		// A tenant re-entering the schedule starts at the current virtual
 		// time: it gets its fair share from now on, but cannot bank credit
@@ -178,14 +177,14 @@ func (p *Pool) runIsolated(fn func() error) (err error) {
 
 // next pops the head task of the backlogged tenant with the smallest
 // virtual time and advances the clocks. Called with p.mu held; returns
-// nil when nothing is queued.
-func (p *Pool) next() func() error {
+// false when nothing is queued.
+func (p *Pool) next() (poolTask, bool) {
 	if len(p.ready) == 0 {
-		return nil
+		return poolTask{}, false
 	}
 	q := p.ready[0]
 	task := q.tasks[0]
-	q.tasks[0] = nil
+	q.tasks[0] = poolTask{}
 	q.tasks = q.tasks[1:]
 	p.vnow = q.vtime
 	q.vtime++
@@ -199,7 +198,7 @@ func (p *Pool) next() func() error {
 	} else {
 		heap.Fix(&p.ready, 0)
 	}
-	return task
+	return task, true
 }
 
 func (p *Pool) worker() {
@@ -209,20 +208,25 @@ func (p *Pool) worker() {
 		for len(p.ready) == 0 && !p.closed {
 			p.cond.Wait()
 		}
-		task := p.next()
+		task, ok := p.next()
 		p.mu.Unlock()
-		if task == nil {
+		if !ok {
 			// closed and drained
 			return
 		}
 
 		p.queued.Add(-1)
 		p.running.Add(1)
-		err := task()
+		err := p.runIsolated(task.fn)
 		p.running.Add(-1)
 		p.completed.Add(1)
 		if err != nil {
 			p.failed.Add(1)
+		}
+		// The counters already include this task when its callback runs,
+		// so a caller woken by done reads consistent Stats.
+		if task.done != nil {
+			task.done(err)
 		}
 	}
 }
